@@ -24,11 +24,12 @@ import argparse
 import heapq
 import itertools
 import json
+import math
 import os
 import sys
 import time
 
-from repro.netsim.engine import EventLoop, _Event
+from repro.netsim.engine import EventLoop
 from repro.experiments.runner import run_flow
 from repro.workload.generator import generate_flows
 from repro.workload.services import get_profile
@@ -43,26 +44,27 @@ OVERHEAD_BUDGET = 1.02
 
 
 class _BaselineTimer:
-    """Pre-hook ``Timer``: cancel just flags the event."""
+    """Pre-hook ``Timer``: cancel just clears the entry's callback."""
 
-    __slots__ = ("_engine", "_event")
+    __slots__ = ("_engine", "_entry")
 
-    def __init__(self, engine, event):
+    def __init__(self, engine, entry):
         self._engine = engine
-        self._event = event
+        self._entry = entry
 
     def cancel(self):
-        self._event.cancelled = True
+        self._entry[2] = None
 
 
 class _BaselineLoop:
-    """Replica of the event loop as it was before the observer hooks.
+    """Replica of the event loop without the observer hooks.
 
-    Kept faithful on purpose: same ``_Event``, same heap discipline,
-    same ``Timer``-handle allocation, same sanity checks and local
-    bindings in ``run`` — the only difference from :class:`EventLoop`
-    is the absence of the observer branches, so the timing delta
-    isolates exactly what the hooks cost when unset.
+    Kept faithful on purpose: same ``[time, tie, callback]`` heap
+    entries, same heap discipline, same ``Timer``-handle allocation,
+    same sanity checks, the same pop-then-check drain loop with the same
+    local bindings and event counting — the only difference from
+    :class:`EventLoop` is the absence of the observer branches, so the
+    timing delta isolates exactly what the hooks cost when unset.
     """
 
     __slots__ = ("now", "_heap", "_tie", "events_run")
@@ -73,30 +75,41 @@ class _BaselineLoop:
         self._tie = itertools.count()
         self.events_run = 0
 
-    def schedule_at(self, when, callback):
+    def _push(self, when, callback):
         if when < self.now:
             raise RuntimeError("cannot schedule in the past")
-        event = _Event(when, next(self._tie), callback)
-        heapq.heappush(self._heap, event)
-        return _BaselineTimer(self, event)
+        entry = [when, next(self._tie), callback]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def schedule(self, delay, callback):
         if delay < 0:
             raise RuntimeError("negative delay")
-        return self.schedule_at(self.now + delay, callback)
+        return _BaselineTimer(self, self._push(self.now + delay, callback))
 
     def run(self):
+        self._drain(math.inf, -1)
+
+    def _drain(self, horizon, budget):
         heap = self._heap
         heappop = heapq.heappop
-        while True:
-            while heap and heap[0].cancelled:
-                heappop(heap)
-            if not heap:
-                return
-            event = heappop(heap)
-            self.now = event.time
-            self.events_run += 1
-            event.callback()
+        fired = 0
+        try:
+            while fired != budget and heap:
+                entry = heappop(heap)
+                callback = entry[2]
+                if callback is None:
+                    continue
+                when = entry[0]
+                if when > horizon:
+                    heapq.heappush(heap, entry)
+                    break
+                self.now = when
+                fired += 1
+                callback()
+        finally:
+            self.events_run += fired
+        return fired
 
 
 def _drive(loop, events: int) -> None:

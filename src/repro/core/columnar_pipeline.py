@@ -60,8 +60,6 @@ from .flow_analyzer import FlowAnalysis
 #: object path.
 _SEQ_SPACE = 1 << 32
 
-_FIN_OR_RST = FLAG_FIN | FLAG_RST
-
 
 def _endpoint(packed: int) -> tuple[int, int]:
     """Unpack a 48-bit ``(ip << 16) | port`` endpoint."""
@@ -667,13 +665,12 @@ def _replay(
                         if rtt > 0:
                             observe(rtt, now=t)
                             rtt_samples.append(rtt)
-            elif (
-                payload == 0
-                and not flags & _FIN_OR_RST
-                and ack == snd_una
-                and head < tx_len
-            ):
-                return None  # duplicate ACK: loss signals start here
+            elif ack == snd_una and head < tx_len:
+                # Duplicate ACK, on the object analyzer's terms: any
+                # non-advancing ACK of snd_una while data is
+                # outstanding, whatever its payload or FIN.  Loss
+                # signals start here.
+                return None
             in_flight.append(tx_len - head)
             prev_time = t
             continue

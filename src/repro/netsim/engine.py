@@ -5,29 +5,28 @@ callbacks at absolute or relative times and receive a :class:`Timer`
 handle that supports cancellation and rescheduling — the exact facility
 a TCP retransmission timer needs.
 
+Heap entries are plain ``[time, tie, callback]`` lists, so ``heapq``
+orders them with C-level list comparison.  ``tie`` is a per-loop
+monotonic counter and unique, so two entries never compare equal on
+both leading items and the callback is never compared.  Cancelling a
+timer sets its entry's callback slot to ``None``; the loop discards
+such entries when they reach the top of the heap.
+
 Determinism: events at the same timestamp fire in scheduling order
-(a monotonic tie-breaker is part of the heap key), so simulations are
+(the tie-breaker is part of the heap key), so simulations are
 bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 
 class SimulationError(RuntimeError):
     """Raised on engine misuse (e.g. scheduling in the past)."""
-
-
-@dataclass(order=True, slots=True)
-class _Event:
-    time: float
-    tie: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class Timer:
@@ -37,26 +36,27 @@ class Timer:
     is still going to fire.
     """
 
-    __slots__ = ("_engine", "_event", "_callback")
+    __slots__ = ("_engine", "_entry")
 
-    def __init__(self, engine: "EventLoop", event: _Event):
+    def __init__(self, engine: "EventLoop", entry: list):
         self._engine = engine
-        self._event = event
+        self._entry = entry
 
     @property
     def pending(self) -> bool:
-        return not self._event.cancelled and self._event.time >= self._engine.now
+        entry = self._entry  # [time, tie, callback]
+        return entry[2] is not None and entry[0] >= self._engine.now
 
     @property
     def fire_time(self) -> float:
-        return self._event.time
+        return self._entry[0]
 
     def cancel(self) -> None:
-        if not self._event.cancelled:
-            observer = self._engine.observer
-            if observer is not None:
-                observer.on_cancel(self._event.time)
-        self._event.cancelled = True
+        entry = self._entry
+        observer = self._engine.observer
+        if observer is not None and entry[2] is not None:
+            observer.on_cancel(entry[0])
+        entry[2] = None
 
 
 class EventLoop:
@@ -74,48 +74,51 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0):
         self.now = start_time
-        self._heap: list[_Event] = []
+        self._heap: list[list] = []
         self._tie = itertools.count()
         self.events_run = 0
         self.observer = None
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Timer:
-        """Run ``callback`` at absolute simulation time ``time``."""
+    def _push(self, time: float, callback: Callable[[], None]) -> list:
+        """Queue ``callback`` at ``time``; return its heap entry."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time:.6f}, now is {self.now:.6f}"
             )
-        event = _Event(time, next(self._tie), callback)
-        heapq.heappush(self._heap, event)
+        entry = [time, next(self._tie), callback]
+        heappush(self._heap, entry)
         if self.observer is not None:
             self.observer.on_schedule(time, callback)
-        return Timer(self, event)
+        return entry
+
+    def call_at(self, time: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at absolute simulation time ``time``.
+
+        The handle-free form of :meth:`schedule_at`, for events nobody
+        cancels (packet deliveries): it allocates no :class:`Timer`.
+        """
+        self._push(time, callback)
+
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> Timer:
+        """Run ``callback`` at absolute simulation time ``time``."""
+        return Timer(self, self._push(time, callback))
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay:.6f}")
-        return self.schedule_at(self.now + delay, callback)
+        return Timer(self, self._push(self.now + delay, callback))
 
     def peek_time(self) -> float | None:
         """Timestamp of the next pending event, or None when idle."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run the next event; return False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            self.events_run += 1
-            if self.observer is not None:
-                self.observer.on_fire(event.time, event.callback)
-            event.callback()
-            return True
-        return False
+        return self._drain(math.inf, 1) > 0
 
     def run(
         self,
@@ -126,36 +129,46 @@ class EventLoop:
 
         With ``until``, events after that time stay queued and the clock
         is left at ``until``.
+        """
+        horizon = math.inf if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)
+        if self._drain(horizon, budget) == budget or until is None:
+            return  # stopped by the event budget: the clock stays put
+        if self._heap:
+            self.now = until  # the next event lies past the horizon
+        elif until > self.now:
+            self.now = until
+
+    def _drain(self, horizon: float, budget: int) -> int:
+        """Fire events due at or before ``horizon``, at most ``budget``
+        of them (``-1``: unbounded); return how many fired.
 
         This is the simulator's hottest loop — every packet, timer and
-        app event passes through it — so the heap and ``heappop`` are
-        bound locally instead of being re-looked-up per event.
+        app event passes through it.  Each entry is popped before its
+        time is checked; the one entry past the horizon is pushed back,
+        which leaves the pop order unchanged (ties are unique).
         """
-        remaining = max_events
         heap = self._heap
-        heappop = heapq.heappop
         observer = self.observer
-        while True:
-            if remaining is not None and remaining <= 0:
-                return
-            while heap and heap[0].cancelled:
-                heappop(heap)
-            if not heap:
-                if until is not None:
-                    self.now = max(self.now, until)
-                return
-            event = heap[0]
-            if until is not None and event.time > until:
-                self.now = until
-                return
-            heappop(heap)
-            self.now = event.time
-            self.events_run += 1
-            if observer is not None:
-                observer.on_fire(event.time, event.callback)
-            event.callback()
-            if remaining is not None:
-                remaining -= 1
+        fired = 0
+        try:
+            while fired != budget and heap:
+                entry = heappop(heap)
+                callback = entry[2]
+                if callback is None:
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    heappush(heap, entry)
+                    break
+                self.now = time
+                fired += 1
+                if observer is not None:
+                    observer.on_fire(time, callback)
+                callback()
+        finally:
+            self.events_run += fired
+        return fired
 
     def clear(self) -> None:
         """Drop every pending event."""

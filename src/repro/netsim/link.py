@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..packet.packet import PacketRecord
 from .engine import EventLoop
@@ -113,12 +114,12 @@ class Link:
             # The packet occupies the bottleneck queue only until it
             # finishes serializing; time on the wire afterwards must
             # not count against the queue limit.
-            self.engine.schedule_at(depart, self._on_depart)
+            self.engine.call_at(depart, self._on_depart)
         arrival = depart + self.delay + self.jitter.extra_delay(self.rng, now)
         if not self.allow_reorder:
             arrival = max(arrival, self._last_delivery)
             self._last_delivery = arrival
-        self.engine.schedule_at(arrival, lambda p=pkt: self._deliver(p))
+        self.engine.call_at(arrival, partial(self._deliver, pkt))
 
     def _on_depart(self) -> None:
         self._queued = max(0, self._queued - 1)

@@ -29,7 +29,7 @@ class CaptureTap:
 
         Returns the stamped copy so callers can forward it.
         """
-        stamped = pkt.copy(timestamp=self.engine.now)
+        stamped = pkt.stamped(self.engine.now)
         self.packets.append(stamped)
         if self._writer is not None:
             self._writer.write(stamped)

@@ -10,15 +10,20 @@ def ones_complement_sum(data: bytes) -> int:
 
     Odd-length input is padded with a trailing zero byte, as RFC 1071
     specifies.
+
+    Computed in one big-integer step: reading ``data`` as a base-2^16
+    number, ``2^16 = 1 (mod 0xFFFF)`` makes it congruent to the sum of
+    its 16-bit words, and the end-around-carry fold is that sum reduced
+    modulo 0xFFFF, except that the fold of a non-zero sum is never 0:
+    a non-zero multiple of 0xFFFF folds to 0xFFFF.  Only all-zero input
+    sums to 0.
     """
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    value = int.from_bytes(data, "big")
+    if not value:
+        return 0
+    return value % 0xFFFF or 0xFFFF
 
 
 def checksum(data: bytes) -> int:

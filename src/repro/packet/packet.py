@@ -100,6 +100,27 @@ class PacketRecord:
         """Return a copy with ``changes`` applied (options are shared)."""
         return replace(self, **changes)
 
+    def stamped(self, timestamp: float) -> "PacketRecord":
+        """Return a copy taken at ``timestamp`` (options are shared).
+
+        ``copy(timestamp=...)`` without ``dataclasses.replace``: capture
+        taps stamp every packet they see, and the direct constructor
+        call costs several times less.
+        """
+        return PacketRecord(
+            timestamp,
+            self.src_ip,
+            self.dst_ip,
+            self.src_port,
+            self.dst_port,
+            self.seq,
+            self.ack,
+            self.flags,
+            self.window,
+            self.payload_len,
+            self.options,
+        )
+
     # -- wire codec ---------------------------------------------------
     def encode(self) -> bytes:
         """Serialize as a raw IPv4 packet (payload is zero bytes)."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 SEQ_SPACE = 1 << 32
 _HALF_SPACE = 1 << 31
+_MASK = SEQ_SPACE - 1
 
 
 def seq_add(seq: int, delta: int) -> int:
@@ -72,3 +73,16 @@ def seq_between(seq: int, low: int, high: int) -> bool:
 def seq_wrap(seq: int) -> int:
     """Clamp an arbitrary integer into the 32-bit sequence space."""
     return seq % SEQ_SPACE
+
+
+def seq_unwrap(seq: int, base: int) -> int:
+    """Lift the 32-bit ``seq`` into the unwrapped (never-wrapping)
+    sequence space of ``base``.
+
+    Returns the integer congruent to ``seq`` modulo 2**32 that lies in
+    ``[base - 2**31, base + 2**31)``: comparing unwrapped values with
+    ``<`` then agrees with :func:`seq_before` on the wire values.  Code
+    that unwraps once can compare plain integers from then on, and
+    wraps back with :func:`seq_wrap` where a value returns to the wire.
+    """
+    return base + ((seq - base + _HALF_SPACE) & _MASK) - _HALF_SPACE

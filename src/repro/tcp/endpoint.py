@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from ..netsim.engine import EventLoop, Timer
 from ..netsim.link import Link, PathConfig
 from ..netsim.trace import CaptureTap
-from ..packet.headers import FLAG_ACK, FLAG_PSH, FLAG_SYN
+from ..packet.headers import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN
 from ..packet.options import TCPOptions
 from ..packet.packet import PacketRecord
-from ..packet.seqnum import seq_add
+from ..packet.seqnum import seq_add, seq_wrap
 from .congestion import CongestionControl, make_congestion_control
 from .constants import (
     DEFAULT_INIT_CWND,
@@ -188,7 +188,7 @@ class TcpEndpoint:
         window = min(self.config.rcv_buf >> self.config.wscale, 65535)
         pkt = self._base_packet(
             seq=self._iss,
-            ack=self.receiver.rcv_nxt,
+            ack=seq_wrap(self.receiver.rcv_nxt),
             flags=FLAG_SYN | FLAG_ACK,
             window=window,
             options=options,
@@ -328,12 +328,10 @@ class TcpEndpoint:
         assert self.receiver is not None
         flags = FLAG_ACK | (FLAG_PSH if length else 0)
         if fin:
-            from ..packet.headers import FLAG_FIN
-
             flags |= FLAG_FIN
         pkt = self._base_packet(
             seq=seq,
-            ack=self.receiver.rcv_nxt,
+            ack=seq_wrap(self.receiver.rcv_nxt),
             flags=flags,
             window=self._window_field(),
             options=self._ack_options(),
@@ -345,8 +343,8 @@ class TcpEndpoint:
         if self.receiver is None:
             return
         pkt = self._base_packet(
-            seq=self.sender.snd_nxt if self.sender else 0,
-            ack=self.receiver.rcv_nxt,
+            seq=seq_wrap(self.sender.snd_nxt) if self.sender else 0,
+            ack=seq_wrap(self.receiver.rcv_nxt),
             flags=FLAG_ACK,
             window=self._window_field(),
             options=self._ack_options(),

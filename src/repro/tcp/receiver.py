@@ -14,17 +14,27 @@ Models the client-side behaviours the paper traces back to stall causes:
   reader; slow readers fill the buffer and advertise zero windows.
   The advertised right edge never shrinks, so a zero window appears as
   the ACK number catching up with a frozen edge, exactly as on the wire.
+
+Like the sender, the receiver keeps sequence numbers *unwrapped*
+(``rcv_nxt``, the out-of-order store, pending SACK/DSACK blocks): plain
+integers counted up from the peer's ISN that never wrap at 2^32.  An
+arriving segment's ``seq`` is unwrapped against ``rcv_nxt``; the
+endpoint wraps ``rcv_nxt`` into the ACK field and
+:meth:`ReceiverHalf.sack_blocks` wraps the blocks it hands out.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import itemgetter
 
 from ..packet.options import SackBlock
 from ..packet.packet import PacketRecord
-from ..packet.seqnum import seq_add, seq_after, seq_before, seq_geq, seq_leq, seq_max
+from ..packet.seqnum import seq_unwrap, seq_wrap
 from ..netsim.engine import EventLoop, Timer
 from .constants import DELACK_MAX, MAX_SACK_BLOCKS
+
+_left_edge = itemgetter(0)
 
 
 class AppReader:
@@ -196,9 +206,9 @@ class ReceiverHalf:
     def on_syn(self, seq: int) -> None:
         """Record the peer's initial sequence number."""
         self.irs = seq
-        self.rcv_nxt = seq_add(seq, 1)
+        self.rcv_nxt = seq + 1
         self._last_ack_sent = self.rcv_nxt
-        self._right_edge = seq_add(self.rcv_nxt, self.window_free())
+        self._right_edge = self.rcv_nxt + self.window_free()
 
     def window_free(self) -> int:
         """Bytes of free buffer space."""
@@ -209,13 +219,14 @@ class ReceiverHalf:
 
         The right edge is monotonic: once advertised, never retracted.
         """
-        edge = seq_add(self.rcv_nxt, self.window_free())
-        self._right_edge = seq_max(self._right_edge, edge)
-        diff = (self._right_edge - self.rcv_nxt) % (1 << 32)
-        return diff
+        edge = self.rcv_nxt + self.window_free()
+        if edge > self._right_edge:
+            self._right_edge = edge
+        return self._right_edge - self.rcv_nxt
 
     def sack_blocks(self) -> list[SackBlock]:
-        """SACK blocks for the next outgoing ACK (DSACK first)."""
+        """SACK blocks for the next outgoing ACK (DSACK first), as
+        32-bit wire values."""
         blocks: list[SackBlock] = []
         if self._dsack is not None:
             blocks.append(self._dsack)
@@ -225,13 +236,13 @@ class ReceiverHalf:
                 blocks.append(block)
             if len(blocks) >= MAX_SACK_BLOCKS:
                 break
-        return blocks
+        return [(seq_wrap(left), seq_wrap(right)) for left, right in blocks]
 
     # -- segment arrival -------------------------------------------------
     def on_data(self, pkt: PacketRecord) -> None:
         """Process an incoming data (or FIN) segment."""
-        seq = pkt.seq
-        data_end = seq_add(seq, pkt.payload_len)
+        seq = seq_unwrap(pkt.seq, self.rcv_nxt)
+        data_end = seq + pkt.payload_len
         immediate = False
 
         # RFC 7323 ts_recent update: only a segment spanning
@@ -241,7 +252,7 @@ class ReceiverHalf:
         # sample includes the delack wait — the mechanism that keeps
         # real-world RTTVAR (and with it the RTO) high.
         ts_val = pkt.options.ts_val
-        if ts_val is not None and seq_leq(seq, self._last_ack_sent):
+        if ts_val is not None and seq <= self._last_ack_sent:
             if ts_val > self.ts_recent:
                 self.ts_recent = ts_val
 
@@ -257,14 +268,14 @@ class ReceiverHalf:
                 self._ack_now()
             return
 
-        if seq_leq(data_end, self.rcv_nxt):
+        if data_end <= self.rcv_nxt:
             # Entirely duplicate: answer at once with a DSACK.
             self.duplicate_segments += 1
             self._dsack = (seq, data_end)
             self._ack_now()
             return
 
-        if seq_before(seq, self.rcv_nxt):
+        if seq < self.rcv_nxt:
             # Partial overlap: trim the duplicate prefix.
             self._dsack = (seq, self.rcv_nxt)
             seq = self.rcv_nxt
@@ -310,7 +321,7 @@ class ReceiverHalf:
             return self.fin_received
         if self.rcv_nxt == self._fin_seq:
             self.fin_received = True
-            self.rcv_nxt = seq_add(self.rcv_nxt, 1)
+            self.rcv_nxt += 1
             if self.on_fin is not None:
                 self.on_fin()
             return True
@@ -318,7 +329,7 @@ class ReceiverHalf:
 
     def _deliver(self, seq: int, end: int) -> int:
         """Advance rcv_nxt over in-order bytes; return bytes delivered."""
-        length = (end - seq) % (1 << 32)
+        length = end - seq
         self.rcv_nxt = end
         self.buffered += length
         self.total_received += length
@@ -338,14 +349,16 @@ class ReceiverHalf:
     def _insert_ooo(self, seq: int, end: int) -> bool:
         """Store an out-of-order range; False when fully duplicate."""
         for left, right in self._ooo:
-            if seq_geq(seq, left) and seq_leq(end, right):
+            if left <= seq and end <= right:
                 return False
         self._ooo.append((seq, end))
-        self._ooo.sort(key=lambda block: (block[0] - self.rcv_nxt) % (1 << 32))
+        # Every stored range lies above rcv_nxt, so ordering by left
+        # edge is ordering by distance ahead of rcv_nxt.
+        self._ooo.sort(key=_left_edge)
         merged: list[tuple[int, int]] = []
         for left, right in self._ooo:
-            if merged and seq_leq(left, merged[-1][1]):
-                merged[-1] = (merged[-1][0], seq_max(merged[-1][1], right))
+            if merged and left <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], right))
             else:
                 merged.append((left, right))
         self._ooo = merged
@@ -354,7 +367,7 @@ class ReceiverHalf:
     def _covering_block(self, seq: int, end: int) -> SackBlock:
         """The merged OOO interval containing [seq, end)."""
         for left, right in self._ooo:
-            if seq_geq(seq, left) and seq_leq(end, right):
+            if left <= seq and end <= right:
                 return (left, right)
         return (seq, end)
 
@@ -364,9 +377,9 @@ class ReceiverHalf:
         Returns True when a hole was filled (triggers immediate ACK).
         """
         filled = False
-        while self._ooo and seq_leq(self._ooo[0][0], self.rcv_nxt):
+        while self._ooo and self._ooo[0][0] <= self.rcv_nxt:
             left, right = self._ooo.pop(0)
-            if seq_after(right, self.rcv_nxt):
+            if right > self.rcv_nxt:
                 delivered = self._deliver(self.rcv_nxt, right)
                 if delivered and self.on_delivered is not None:
                     self.on_delivered(delivered)

@@ -17,6 +17,15 @@ Implements the machinery whose failure modes the paper classifies:
 The sender is transport-only: the application supplies a byte count via
 :meth:`SenderHalf.write` and the endpoint provides a ``transmit``
 callback that turns (seq, length, flags) into a wire packet.
+
+Sequence numbers inside the sender (``snd_una``, ``snd_nxt``, the
+recovery point and every scoreboard segment) are *unwrapped*: plain
+integers counted up from the ISS, which never wrap at 2^32 and compare
+with ``<``.  Incoming ACK and SACK values are unwrapped against
+``snd_una`` (:func:`~repro.packet.seqnum.seq_unwrap`).  Values are
+wrapped back to 32 bits only where they leave the sender: the
+``transmit`` callback and :meth:`SenderHalf.trace_event` records
+(which policy hooks also use).
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field
 
 from ..netsim.engine import EventLoop, Timer
 from ..packet.packet import PacketRecord
-from ..packet.seqnum import seq_add, seq_before, seq_geq, seq_leq, seq_sub
+from ..packet.seqnum import seq_unwrap, seq_wrap
 from .congestion import CongestionControl, NewReno
 from .constants import (
     DEFAULT_INIT_CWND,
@@ -43,7 +52,8 @@ from .policies import PROBE, RTO, NativePolicy, RecoveryPolicy
 from .rto import RTOEstimator
 from .scoreboard import Scoreboard, Segment
 
-#: ``transmit(seq, length, fin, is_retrans)`` — provided by the endpoint.
+#: ``transmit(seq, length, fin, is_retrans)`` — provided by the endpoint;
+#: ``seq`` is a 32-bit wire value.
 TransmitFn = Callable[[int, int, bool, bool], None]
 
 
@@ -101,8 +111,9 @@ class SenderHalf:
         self.transmit = transmit
         self.mss = mss
         self.iss = iss
-        self.snd_una = seq_add(iss, 1)  # SYN consumes one
-        self.snd_nxt = seq_add(iss, 1)
+        # Unwrapped (see the module docstring); the SYN consumes one.
+        self.snd_una = iss + 1
+        self.snd_nxt = iss + 1
         self.cwnd = init_cwnd
         self.ssthresh = INITIAL_SSTHRESH
         self.ca_state = self.OPEN
@@ -187,7 +198,7 @@ class SenderHalf:
             self.engine.now,
             kind,
             detail,
-            seq=seq,
+            seq=seq_wrap(seq),
             cwnd=self.cwnd,
             ssthresh=self.ssthresh,
             srtt=est.srtt,
@@ -230,7 +241,7 @@ class SenderHalf:
 
     @property
     def outstanding_bytes(self) -> int:
-        return seq_sub(self.snd_nxt, self.snd_una)
+        return self.snd_nxt - self.snd_una
 
     @property
     def all_acked(self) -> bool:
@@ -243,29 +254,41 @@ class SenderHalf:
         """Process the acknowledgment fields of an incoming packet."""
         if self.failed:
             return
-        ack = pkt.ack
         # Window update (scaled except on SYN).
         wscale = 0 if pkt.syn else self.peer_wscale
         self.rwnd = pkt.window << wscale
         self._update_persist_state()
 
-        if seq_before(ack, self.snd_una):
+        snd_una = self.snd_una
+        ack = seq_unwrap(pkt.ack, snd_una)
+        if ack < snd_una:
             return  # stale ACK
-        if seq_before(self.snd_nxt, ack):
+        if ack > self.snd_nxt:
             return  # acks data never sent; ignore
 
-        # RFC 2883: a block at or below the packet's own cumulative
-        # ACK is a DSACK, so the comparison uses pkt.ack, not the
-        # not-yet-advanced snd_una.
-        sack_result = self.scoreboard.apply_sack(
-            pkt.sack_blocks, ack, now=self.engine.now
-        )
-        if sack_result.dsack_seen:
-            self.stats.dsacks_received += 1
-            self._on_dsack(sack_result)
-            self._maybe_undo(sack_result)
+        blocks = pkt.options.sack_blocks
+        sack_result = None
+        newly_sacked = 0
+        if blocks:
+            # RFC 2883: a block at or below the packet's own cumulative
+            # ACK is a DSACK, so the comparison uses the ACK, not the
+            # not-yet-advanced snd_una.  Blocks are unwrapped against
+            # the ACK so that comparison is exact.
+            sack_result = self.scoreboard.apply_sack(
+                [
+                    (seq_unwrap(left, ack), seq_unwrap(right, ack))
+                    for left, right in blocks
+                ],
+                ack,
+                now=self.engine.now,
+            )
+            newly_sacked = sack_result.newly_sacked
+            if sack_result.dsack_seen:
+                self.stats.dsacks_received += 1
+                self._on_dsack(sack_result)
+                self._maybe_undo(sack_result)
 
-        new_data_acked = seq_before(self.snd_una, ack)
+        new_data_acked = ack > snd_una
         acked_segments: list[Segment] = []
         if new_data_acked:
             acked_segments = self.scoreboard.ack_through(ack)
@@ -273,15 +296,15 @@ class SenderHalf:
             self.dup_acks = 0
             self._consecutive_timeouts = 0
             self.rto_estimator.on_ack()
-        if new_data_acked or sack_result.newly_sacked:
+        if new_data_acked or newly_sacked:
             self._sample_rtt(pkt, acked_segments, sack_result)
-        elif self._is_duplicate_ack(pkt):
+        elif self._is_duplicate_ack(pkt, ack):
             self.dup_acks += 1
 
         if self._frto_phase:
             self._frto_on_ack(new_data_acked)
         self._advance_state_machine(
-            new_data_acked, len(acked_segments), sack_result.newly_sacked
+            new_data_acked, len(acked_segments), newly_sacked
         )
         self.policy.on_ack(self, new_data_acked)
         self.try_send()
@@ -289,20 +312,22 @@ class SenderHalf:
         if self._recorder is not None:
             # Per-ACK ground-truth snapshot: the exact counterpart of
             # the per-ACK series TAPO infers from the passive trace.
-            self.trace_event("vars", "ack", seq=ack)
+            self.trace_event("vars", "ack", seq=pkt.ack)
 
         if self.all_acked and self.on_all_acked is not None:
             self.on_all_acked()
 
-    def _is_duplicate_ack(self, pkt: PacketRecord) -> bool:
+    def _is_duplicate_ack(self, pkt: PacketRecord, ack: int) -> bool:
+        """``ack`` is ``pkt.ack`` unwrapped."""
         return (
             pkt.is_pure_ack
-            and pkt.ack == self.snd_una
+            and ack == self.snd_una
             and not self.scoreboard.empty
         )
 
     def _sample_rtt(self, pkt, acked: list[Segment], sack_result) -> None:
-        """RTT sampling for an ACK carrying new information.
+        """RTT sampling for an ACK carrying new information
+        (``sack_result`` is None for an ACK without SACK blocks).
 
         With TCP timestamps (the default), the sample is
         ``now - TSecr`` — accurate even across retransmissions and
@@ -329,6 +354,8 @@ class SenderHalf:
                         now - seg.first_tx_time, now=now
                     )
                     self.stats.rtt_samples += 1
+        if sack_result is None:
+            return
         for seg in sack_result.newly_sacked_segments:
             if seg.retrans_count == 0:
                 self.rto_estimator.observe(now - seg.first_tx_time, now=now)
@@ -386,9 +413,7 @@ class SenderHalf:
         self.cwnd = max(self.cwnd, self._undo_cwnd)
         self.ssthresh = max(self.ssthresh, self._undo_ssthresh)
         self._clear_undo()
-        for seg in self.scoreboard:
-            if not seg.sacked:
-                seg.lost = False
+        self.scoreboard.clear_lost()
         if self.ca_state in (self.RECOVERY, self.LOSS):
             self._high_seq = None
             self._set_state(self.OPEN)
@@ -412,9 +437,7 @@ class SenderHalf:
                 self.cwnd = max(self.cwnd, self._undo_cwnd)
                 self.ssthresh = max(self.ssthresh, self._undo_ssthresh)
                 self._clear_undo()
-                for seg in self.scoreboard:
-                    if not seg.sacked:
-                        seg.lost = False
+                self.scoreboard.clear_lost()
                 self._high_seq = None
                 self._set_state(self.OPEN)
             else:
@@ -464,7 +487,7 @@ class SenderHalf:
             self._rate_halve()
             self.scoreboard.mark_lost_by_sack(self.dup_thresh)
             if new_data_acked and self._high_seq is not None:
-                if seq_geq(self.snd_una, self._high_seq):
+                if self.snd_una >= self._high_seq:
                     self._exit_recovery()
                 elif not newly_sacked:
                     # NewReno partial ACK: the next hole is lost too.
@@ -474,8 +497,9 @@ class SenderHalf:
                 self.cwnd = self.congestion.on_ack(
                     self.cwnd, self.ssthresh, acked_count, now
                 )
-                if self._high_seq is not None and seq_geq(
-                    self.snd_una, self._high_seq
+                if (
+                    self._high_seq is not None
+                    and self.snd_una >= self._high_seq
                 ):
                     self._set_state(self.OPEN)
                     self._high_seq = None
@@ -663,7 +687,7 @@ class SenderHalf:
         # (carrying the current window) without consuming new sequence
         # space.
         self.stats.zero_window_probes += 1
-        probe_seq = seq_add(self.snd_una, -1 % (1 << 32))
+        probe_seq = seq_wrap(self.snd_una - 1)
         if self._recorder is not None:
             self.trace_event("zwnd", "probe", seq=probe_seq)
         self.transmit(probe_seq, 1, False, True)
@@ -750,7 +774,7 @@ class SenderHalf:
     def _transmit_new(self, length: int, fin: bool) -> None:
         seq = self.snd_nxt
         now = self.engine.now
-        end_seq = seq_add(seq, length + (1 if fin else 0))
+        end_seq = seq + length + (1 if fin else 0)
         self.scoreboard.add(
             Segment(
                 seq=seq,
@@ -767,7 +791,7 @@ class SenderHalf:
             self._fin_pending = False
         self.stats.data_segments_sent += 1
         self.stats.bytes_sent += length
-        self.transmit(seq, length, fin, False)
+        self.transmit(seq_wrap(seq), length, fin, False)
         # Linux rearms the retransmission timer on every new-data
         # transmission (tcp_event_new_data_sent -> tcp_rearm_rto);
         # probe timers (TLP/S-RTO) are likewise rescheduled, so a PTO
@@ -782,18 +806,11 @@ class SenderHalf:
         probe: bool = False,
     ) -> None:
         """(Re)transmit one scoreboard segment."""
-        now = self.engine.now
-        seg.retrans_count += 1
-        seg.last_tx_time = now
-        seg.retrans_outstanding = True
+        self.scoreboard.mark_retransmitted(
+            seg, self.engine.now, fast=fast, rto=rto, probe=probe
+        )
         if self._undo_marker is not None:
             self._undo_retrans += 1
-        if fast:
-            seg.fast_retrans = True
-        if rto:
-            seg.rto_retrans = True
-        if probe:
-            seg.probe_retrans = True
         self.stats.retransmissions += 1
         self.stats.data_segments_sent += 1
         length = seg.length - (1 if seg.is_fin else 0)
@@ -805,4 +822,4 @@ class SenderHalf:
                 else "rto" if rto else "probe" if probe else "recovery"
             )
             self.trace_event("retx", detail, seq=seg.seq)
-        self.transmit(seg.seq, length, seg.is_fin, True)
+        self.transmit(seq_wrap(seg.seq), length, seg.is_fin, True)

@@ -1,5 +1,9 @@
 """Internet checksum tests."""
 
+import random
+import struct
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +26,56 @@ class TestOnesComplement:
 
     def test_empty(self):
         assert ones_complement_sum(b"") == 0
+
+
+def reference_sum(data: bytes) -> int:
+    """RFC 1071 word by word: the end-around-carry loop the big-integer
+    ``ones_complement_sum`` replaced, kept as its reference."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for (word,) in struct.iter_unpack("!H", data):
+        total += word
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+class TestAgainstReference:
+    @given(st.binary(min_size=0, max_size=300))
+    def test_random_inputs(self, data):
+        assert ones_complement_sum(data) == reference_sum(data)
+
+    @pytest.mark.parametrize("length", [1, 3, 7, 41, 1501])
+    def test_odd_lengths(self, length):
+        rng = random.Random(length)
+        data = bytes(rng.randrange(256) for _ in range(length))
+        assert ones_complement_sum(data) == reference_sum(data)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 5, 40, 1500])
+    def test_all_zero_input_sums_to_zero(self, length):
+        data = bytes(length)
+        assert ones_complement_sum(data) == reference_sum(data) == 0
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [0xFFFF],
+            [0xFFFF, 0xFFFF],
+            [0x8000, 0x7FFF],
+            [0x0001, 0xFFFE, 0xFFFF],
+            [0x1234, 0x0000, 0xEDCB],
+        ],
+    )
+    def test_nonzero_multiples_of_ffff_fold_to_ffff(self, words):
+        data = b"".join(w.to_bytes(2, "big") for w in words)
+        assert sum(words) % 0xFFFF == 0
+        assert ones_complement_sum(data) == reference_sum(data) == 0xFFFF
+
+    def test_odd_trailing_byte_multiple_of_ffff(self):
+        # 0x00FF + 0xFF00 (the padded trailing byte) = 0xFFFF.
+        data = b"\x00\xff\xff"
+        assert ones_complement_sum(data) == reference_sum(data) == 0xFFFF
 
 
 class TestChecksum:

@@ -29,6 +29,7 @@ from repro.core import ServiceReport, Tapo
 from repro.core.cli import main as cli_main
 from repro.core.columnar_pipeline import LazyFlowTrace, fast_replay_flow
 from repro.errors import ErrorBudget, FlowAnalysisError
+from repro.packet.headers import FLAG_ACK
 from repro.packet.pcap import PcapWriter
 from repro.testing import corrupt_pcap_records, generate_trace, inject_flow_crash
 from repro.testing.traces import _FlowBuilder
@@ -197,6 +198,43 @@ class TestSeqWraparound:
         replayed = fast_replay_flow(flow, tapo.config)
         assert replayed is not None
         assert replayed.bytes_out == analyses[0].bytes_out
+
+
+class TestDuplicateAckScreen:
+    """The fast replay bails on every ACK the object analyzer counts as
+    a duplicate, including ones that carry data."""
+
+    def _request_retransmitted_mid_response(self, seed):
+        builder = _FlowBuilder(random.Random(seed), 1000.0, index=0)
+        builder.handshake()
+        builder.request(size=300)
+        # Two response segments leave the server; before the client's
+        # ACK for them arrives, its retransmitted request does: a
+        # data-bearing ACK of snd_una while data is outstanding.
+        for _ in range(2):
+            builder._advance(0.0005, 0.002)
+            builder._emit(
+                True, builder.seq_s, builder.seq_c, FLAG_ACK,
+                payload=builder.mss,
+            )
+            builder.seq_s = (builder.seq_s + builder.mss) & 0xFFFFFFFF
+        builder._advance(0.0005, 0.002)
+        builder._emit(
+            False, (builder.seq_c - 300) & 0xFFFFFFFF, builder.rcv_nxt,
+            FLAG_ACK, payload=300,
+        )
+        builder.respond(4)
+        builder.close()
+        return builder.packets
+
+    @pytest.mark.parametrize("seed", (31, 32, 33))
+    def test_retransmitted_request_matches_oracle(self, seed):
+        packets = self._request_retransmitted_mid_response(seed)
+        columnar, objects = _pair()
+        fast = _report(columnar, columnar.analyze_packets(packets))
+        slow = _report(objects, objects.analyze_packets(packets))
+        assert columnar.fallback_flows == 1
+        assert fast.to_json() == slow.to_json()
 
 
 class TestCrashQuarantine:

@@ -116,8 +116,7 @@ class TestLossMarking:
 
     def test_mark_all_lost_clears_fast_retrans(self):
         board = filled_board(3)
-        board.head().fast_retrans = True
-        board.head().retrans_outstanding = True
+        board.mark_retransmitted(board.head(), now=1.0, fast=True)
         count = board.mark_all_lost()
         assert count == 3
         assert not board.head().fast_retrans
@@ -145,8 +144,7 @@ class TestEquationOne:
         board.mark_lost_by_sack(dup_thresh=3)
         head = board.head()
         assert board.in_flight == 0  # lost head, everything else sacked
-        head.retrans_count += 1
-        head.retrans_outstanding = True
+        board.mark_retransmitted(head, now=1.0, fast=True)
         assert board.in_flight == 1  # its retransmission is in the net
 
     def test_holes(self):

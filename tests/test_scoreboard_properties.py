@@ -36,12 +36,44 @@ mark_events = st.tuples(
     st.just(0),
     st.just(0),
 )
+# A retransmission of the a-th outstanding segment (b picks fast / RTO
+# / probe), and the DSACK / F-RTO undo that forgets every loss mark.
+retransmit_events = st.tuples(
+    st.just("retransmit"), st.integers(0, WINDOW - 1), st.integers(0, 2)
+)
+undo_events = st.tuples(st.just("undo"), st.just(0), st.just(0))
 events = st.lists(
-    st.one_of(ack_events, sack_events, mark_events), max_size=40
+    st.one_of(
+        ack_events, sack_events, mark_events, retransmit_events, undo_events
+    ),
+    max_size=40,
 )
 
 
-def apply_events(board, event_list):
+def recount(board):
+    """The counted flags, recounted from scratch over the queue."""
+    segments = list(board)
+    return {
+        "sacked_out": sum(1 for seg in segments if seg.sacked),
+        "lost_out": sum(1 for seg in segments if seg.lost),
+        "retrans_out": sum(
+            1
+            for seg in segments
+            if seg.retrans_outstanding and not seg.sacked
+        ),
+    }
+
+
+def counters(board):
+    return {
+        "sacked_out": board.sacked_out,
+        "lost_out": board.lost_out,
+        "retrans_out": board.retrans_out,
+    }
+
+
+def apply_events(board, event_list, check=None):
+    """Apply ``event_list``; ``check(board)`` runs after every event."""
     snd_una = 1
     for kind, a, b in event_list:
         if kind == "ack":
@@ -59,10 +91,35 @@ def apply_events(board, event_list):
             board.mark_all_lost()
         elif kind == "mark_head":
             board.mark_head_lost()
+        elif kind == "retransmit":
+            outstanding = list(board)
+            if outstanding:
+                seg = outstanding[a % len(outstanding)]
+                board.mark_retransmitted(
+                    seg, now=2.0, fast=b == 0, rto=b == 1, probe=b == 2
+                )
+        elif kind == "undo":
+            board.clear_lost()
+        if check is not None:
+            check(board)
     return snd_una
 
 
 class TestInvariants:
+    @given(events)
+    @settings(max_examples=300)
+    def test_counters_match_a_fresh_recount_after_every_event(
+        self, event_list
+    ):
+        def check(board):
+            fresh = recount(board)
+            assert counters(board) == fresh
+            assert board.in_flight == len(list(board)) + fresh[
+                "retrans_out"
+            ] - (fresh["sacked_out"] + fresh["lost_out"])
+
+        apply_events(fresh_board(), event_list, check)
+
     @given(events)
     @settings(max_examples=200)
     def test_counts_stay_consistent(self, event_list):
